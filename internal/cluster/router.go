@@ -75,7 +75,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	r.badRequests = r.reg.Counter("cosrouter_bad_requests_total",
 		"Requests rejected as malformed (400).", nil)
 	r.degraded = r.reg.Counter("cosrouter_degraded_responses_total",
-		"Merged responses served with shards down or devices lost.", nil)
+		"Responses served flagged degraded (shards down or devices lost), one per /predict or /advise answer.", nil)
 	r.forwardFails = r.reg.Counter("cosrouter_ingest_forward_failures_total",
 		"Ingest forwards that failed on one replica (the batch may still be covered by another).", nil)
 	r.hedges = r.reg.Counter("cosrouter_hedges_total",
@@ -587,10 +587,17 @@ func (r *Router) fanOut(ctx context.Context, slas []float64, factor float64) (fa
 		}
 	}
 	res.degraded = len(res.lost) > 0 || notPrimary || anyDown || underReported
-	if res.degraded {
+	return res, nil
+}
+
+// countServed counts one answered query, and its degradation from the flag
+// the response carries: an advise search makes a fan-out per probe, but
+// only the current-rate one decides whether its answer is degraded.
+func (r *Router) countServed(degraded bool) {
+	r.served.Inc()
+	if degraded {
 		r.degraded.Inc()
 	}
-	return res, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -666,7 +673,7 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 			Saturated: res.merged.Saturated,
 		}
 	}
-	r.served.Inc()
+	r.countServed(resp.Degraded)
 	r.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -795,7 +802,7 @@ func (r *Router) handleAdvise(w http.ResponseWriter, req *http.Request) {
 	adv.MaxAdmissibleRate = maxRate
 	adv.Headroom = maxRate - current
 	adv.Admit = !adv.Saturated && adv.CurrentMeetRatio >= target && adv.Headroom >= 0
-	r.served.Inc()
+	r.countServed(adv.Degraded)
 	r.writeJSON(w, http.StatusOK, adv)
 }
 

@@ -295,6 +295,35 @@ func TestRouterSurvivesShardLoss(t *testing.T) {
 	}
 }
 
+// TestRouterDegradedCountedPerResponse: with a shard down, one /advise —
+// however many probe fan-outs its search makes — and one /predict each
+// raise cosrouter_degraded_responses_total by exactly one.
+func TestRouterDegradedCountedPerResponse(t *testing.T) {
+	const devices = 4
+	tr := newTier(t, 3, devices)
+	ingestTier(t, tr, devices)
+	tr.gates[0].set(true) // kill node 0
+
+	before := tr.router.degraded.Value()
+	var adv AdviceResponse
+	if code := getJSON(t, tr.routerSrv.URL+"/advise?sla=0.1&target=0.5", &adv); code != http.StatusOK {
+		t.Fatalf("advise with a dead shard: status %d", code)
+	}
+	if !adv.Degraded {
+		t.Fatal("advise with a dead shard not flagged degraded")
+	}
+	if d := tr.router.degraded.Value() - before; d != 1 {
+		t.Errorf("one degraded advise counted %d times", d)
+	}
+	var pred PredictResponse
+	if code := getJSON(t, tr.routerSrv.URL+"/predict", &pred); code != http.StatusOK {
+		t.Fatalf("predict with a dead shard: status %d", code)
+	}
+	if d := tr.router.degraded.Value() - before; !pred.Degraded || d != 2 {
+		t.Errorf("degraded predict (flag %v) left the counter at +%d, want +2", pred.Degraded, d)
+	}
+}
+
 // TestRouterLostDevicesWidenBounds: when a device's whole replica chain is
 // down the router still answers from the survivors, renormalized, with the
 // lost devices named and the confidence bracket widened over their rate.

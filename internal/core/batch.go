@@ -146,10 +146,7 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 	}
 	fe := a.fe[:0]
 	if needFE {
-		sq := s.frontend.Sojourn().F
-		for _, sk := range nodes {
-			fe = append(fe, sq(sk))
-		}
+		fe = s.frontend.sojournAt(fe, 0, nodes, false)
 	}
 	nt, nm := len(ts), len(modes)
 	stride := nm * nt
@@ -167,15 +164,13 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 		// write factors are never evaluated and its write cells stay 0
 		// (the reduction skips them by zero weight).
 		devWrite := needWrite && s.groups[i].writeWeight > 0
+		if !needRead && !devWrite {
+			return nil
+		}
 		for j := range ts {
 			for k := offs[j]; k < offs[j+1]; k++ {
-				var wa, sbe, wwa, swr complex128
-				if needRead {
-					wa, sbe = dev.responseNode(nodes[k])
-				}
-				if devWrite {
-					wwa, swr = dev.writeNode(nodes[k])
-				}
+				l := dev.lv.leaves(nodes[k])
+				wa, sbe, swr := dev.node(nodes[k], &l, devWrite)
 				wr, wi := real(ws[k]), imag(ws[k])
 				for m, mode := range modes {
 					var v complex128
@@ -183,7 +178,7 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 						if !devWrite {
 							continue
 						}
-						v = nodeValue(mode.shape(), fe, k, wwa, swr)
+						v = nodeValue(mode.shape(), fe, k, wa, swr)
 					} else {
 						v = nodeValue(mode, fe, k, wa, sbe)
 					}

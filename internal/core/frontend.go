@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"cosmodel/internal/dist"
 	"cosmodel/internal/lst"
@@ -23,8 +24,16 @@ type FrontendModel struct {
 	// for a heterogeneous tier, whose sets have their own).
 	Parse dist.Distribution
 
-	sq   lst.Transform
-	util float64
+	sqOnce sync.Once // builds a homogeneous tier's sq on first use
+	sq     lst.Transform
+	util   float64
+	sets   []FrontendSet // a heterogeneous tier's sets, for scaled
+
+	// A homogeneous tier's per-process queue and the table of its parse
+	// transform's values per threshold — rate-invariant, so shared with
+	// scaled models (nil for a heterogeneous tier).
+	q         queueing.MG1
+	parseVals *nodeTable[complex128]
 }
 
 // NewFrontendModel validates and builds the frontend model. It returns
@@ -38,13 +47,19 @@ func NewFrontendModel(totalRate float64, procs int, parse dist.Distribution) (*F
 	case parse == nil || parse.Mean() <= 0:
 		return nil, fmt.Errorf("%w: frontend parse distribution", ErrBadParams)
 	}
-	f := &FrontendModel{TotalRate: totalRate, Procs: procs, Parse: parse}
+	return newFrontendModel(totalRate, procs, parse, new(nodeTable[complex128]))
+}
+
+// newFrontendModel builds a homogeneous tier's model reading its parse
+// values from parseVals.
+func newFrontendModel(totalRate float64, procs int, parse dist.Distribution, parseVals *nodeTable[complex128]) (*FrontendModel, error) {
+	f := &FrontendModel{TotalRate: totalRate, Procs: procs, Parse: parse, parseVals: parseVals}
 	ri := totalRate / float64(procs)
 	q, err := queueing.NewMG1(ri, lst.FromDist(parse))
 	if err != nil {
 		return nil, fmt.Errorf("%w: frontend process: %v", ErrOverload, err)
 	}
-	f.sq = q.SojournLST()
+	f.q = q
 	f.util = ri * parse.Mean()
 	return f, nil
 }
@@ -95,11 +110,61 @@ func NewHeterogeneousFrontend(sets []FrontendSet) (*FrontendModel, error) {
 		Procs:     totalProcs,
 		sq:        lst.Mix(transforms, weights),
 		util:      maxUtil,
+		sets:      append([]FrontendSet(nil), sets...),
 	}, nil
 }
 
+// scaled returns the frontend model with every arrival rate multiplied by
+// f (see SystemModel.Scaled).
+func (f *FrontendModel) scaled(factor float64) (*FrontendModel, error) {
+	if f.sets == nil {
+		return newFrontendModel(f.TotalRate*factor, f.Procs, f.Parse, f.parseVals)
+	}
+	sets := append([]FrontendSet(nil), f.sets...)
+	for i := range sets {
+		sets[i].Rate *= factor
+	}
+	return NewHeterogeneousFrontend(sets)
+}
+
+// sojournAt appends Sq at every node to dst. For a homogeneous tier it is
+// the M/G/1 sojourn W(s)·B(s) composed from one parse value per node — read
+// from the parse table when nodes are threshold t's primary quadrature
+// (cached), the same arithmetic as Sojourn().F otherwise.
+func (f *FrontendModel) sojournAt(dst []complex128, t float64, nodes []complex128, cached bool) []complex128 {
+	if f.sets != nil {
+		sq := f.Sojourn().F
+		for _, s := range nodes {
+			dst = append(dst, sq(s))
+		}
+		return dst
+	}
+	b := f.q.Service.F
+	var row []complex128
+	if cached {
+		row = f.parseVals.row(t, nodes, b)
+	}
+	for k, s := range nodes {
+		var bs complex128
+		if row != nil {
+			bs = row[k]
+		} else {
+			bs = b(s)
+		}
+		dst = append(dst, f.q.WaitingValue(s, bs)*bs)
+	}
+	return dst
+}
+
 // Sojourn returns Sq: the frontend queueing-plus-parsing latency transform.
-func (f *FrontendModel) Sojourn() lst.Transform { return f.sq }
+func (f *FrontendModel) Sojourn() lst.Transform {
+	f.sqOnce.Do(func() {
+		if f.sets == nil {
+			f.sq = f.q.SojournLST()
+		}
+	})
+	return f.sq
+}
 
 // Utilization returns the per-process utilization (the maximum over sets
 // for a heterogeneous tier).

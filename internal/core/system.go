@@ -22,18 +22,12 @@ const minDevicesParallel = 3
 // deployments pass the same model for every slot) collapse into one group,
 // so the engine inverts each distinct backend transform once.
 type mixGroup struct {
-	dev      *DeviceModel
-	weight   float64
-	response lst.Transform // Sq ∗ Wa ∗ Sbe, for non-node inverters
-	beResp   lst.Transform // Wa ∗ Sbe, for non-node inverters
-	noWTA    lst.Transform // Sq ∗ Sbe, for non-node inverters
-
-	// Write-class mixture weight and compositions; writeWeight is 0 for
-	// a read-only device, which then contributes nothing to write-mode
+	dev    *DeviceModel
+	weight float64
+	// writeWeight is the group's write-class mixture weight: 0 for a
+	// read-only device, which then contributes nothing to write-mode
 	// mixtures and is skipped without evaluation.
 	writeWeight float64
-	writeFull   lst.Transform // Sq ∗ Wa ∗ Swr, for non-node inverters
-	writeResp   lst.Transform // Wa ∗ Swr, for non-node inverters
 }
 
 // evalMode selects which composition of the per-device factors the
@@ -66,8 +60,8 @@ const (
 	modeWriteBackend
 )
 
-// write reports whether the mode draws on the write-class device factors
-// (DeviceModel.writeNode) instead of the read-class ones; write modes also
+// write reports whether the mode draws on the write-class device factor Swr
+// (see DeviceModel.node) instead of the read-class Sbe; write modes also
 // mix with write-rate weights rather than request-rate weights.
 func (m evalMode) write() bool { return m >= modeWriteFull }
 
@@ -96,8 +90,8 @@ func (m evalMode) shape() evalMode {
 // the configured inverter exposes its quadrature (numeric.NodeInverter, as
 // all built-in inverters do), the frontend factor Sq(s_k) is computed once
 // per inversion node and shared across the whole device mixture, each
-// device's leaf transforms are evaluated once per node
-// (DeviceModel.responseNode), and distinct devices are fanned across a
+// device's leaf transforms are evaluated once per node and composed by one
+// node kernel (DeviceModel.node), and distinct devices are fanned across a
 // bounded worker pool (Options.Workers) when the mixture is at least
 // minDevicesParallel wide. Results are reduced in device order, so they are
 // deterministic and agree with the sequential path exactly.
@@ -107,8 +101,6 @@ type SystemModel struct {
 	opts     Options
 	pool     *parallel.Pool
 
-	responses      []lst.Transform // per device: Sq ∗ Wa ∗ Sbe
-	weights        []float64
 	groups         []mixGroup
 	totalRate      float64
 	totalWriteRate float64
@@ -131,47 +123,79 @@ func NewSystemModel(fe *FrontendModel, devices []*DeviceModel, opts Options) (*S
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("%w: at least one device model required", ErrBadParams)
 	}
-	s := &SystemModel{frontend: fe, devices: devices, opts: opts, pool: opts.pool()}
-	sq := fe.Sojourn()
-	seen := make(map[*DeviceModel]int, len(devices))
 	for _, d := range devices {
 		if d == nil {
 			return nil, fmt.Errorf("%w: nil device model", ErrBadParams)
 		}
-		s.responses = append(s.responses, lst.Convolve(sq, d.WTA(), d.Backend()))
-		s.weights = append(s.weights, d.Rate())
+	}
+	nodeCount := 0
+	if opts.Observer != nil {
+		if ni, ok := opts.inverter().(numeric.NodeInverter); ok {
+			nodes, _ := ni.AppendNodes(nil, nil, 1)
+			nodeCount = len(nodes)
+		}
+	}
+	return newSystemModel(fe, devices, opts, opts.pool(), nodeCount)
+}
+
+// newSystemModel groups the validated devices into the mixture.
+func newSystemModel(fe *FrontendModel, devices []*DeviceModel, opts Options, pool *parallel.Pool, nodeCount int) (*SystemModel, error) {
+	s := &SystemModel{frontend: fe, devices: devices, opts: opts, pool: pool, nodeCount: nodeCount}
+	s.groups = make([]mixGroup, 0, len(devices))
+	seen := make(map[*DeviceModel]int, len(devices))
+	for _, d := range devices {
 		s.totalRate += d.Rate()
 		s.totalWriteRate += d.WriteRate()
 		if g, ok := seen[d]; ok {
 			s.groups[g].weight += d.Rate()
 			s.groups[g].writeWeight += d.WriteRate()
-		} else {
-			seen[d] = len(s.groups)
-			g := mixGroup{
-				dev:         d,
-				weight:      d.Rate(),
-				writeWeight: d.WriteRate(),
-				response:    s.responses[len(s.responses)-1],
-				beResp:      lst.Convolve(d.WTA(), d.Backend()),
-				noWTA:       lst.Convolve(sq, d.Backend()),
-			}
-			if d.WriteRate() > 0 {
-				g.writeFull = lst.Convolve(sq, d.WTA(), d.WriteResponse())
-				g.writeResp = lst.Convolve(d.WTA(), d.WriteResponse())
-			}
-			s.groups = append(s.groups, g)
+			continue
 		}
+		seen[d] = len(s.groups)
+		s.groups = append(s.groups, mixGroup{dev: d, weight: d.Rate(), writeWeight: d.WriteRate()})
 	}
 	if s.totalRate <= 0 {
 		return nil, fmt.Errorf("%w: zero total device rate", ErrBadParams)
 	}
-	if opts.Observer != nil {
-		if ni, ok := opts.inverter().(numeric.NodeInverter); ok {
-			nodes, _ := ni.AppendNodes(nil, nil, 1)
-			s.nodeCount = len(nodes)
-		}
-	}
 	return s, nil
+}
+
+// Scaled returns the model of the same deployment with every device's read,
+// data and write rates and the frontend rate multiplied by factor — the
+// operating point an admission search probes. Load enters the model only
+// through its queueing terms, so only those are rebuilt: each device's
+// union queue (λ, ρ, and through them Wbe, Wa, Sbe and Swr), the WTAExact
+// grid, the frontend M/G/1 and, with Nbe > 1, the M/M/1/K disk sojourn.
+// With Nbe = 1 every device's leaf transforms and their per-threshold value
+// table are shared with the receiver, so a scaled model evaluated at a
+// threshold the receiver (or a sibling) already evaluated reads its leaf
+// values instead of recomputing them. The result matches a model built
+// from the scaled metrics to floating-point rounding (such a build derives
+// its rate ratios from the scaled rates), it reports ErrOverload where
+// that build does, and Scaled(1) evaluates bit-for-bit like the receiver.
+// The worker pool is shared.
+func (s *SystemModel) Scaled(factor float64) (*SystemModel, error) {
+	if !(factor > 0) || math.IsInf(factor, 0) {
+		return nil, fmt.Errorf("%w: scale factor %v must be positive and finite", ErrBadParams, factor)
+	}
+	children := make(map[*DeviceModel]*DeviceModel, len(s.groups))
+	devs := make([]*DeviceModel, len(s.devices))
+	for j, d := range s.devices {
+		c := children[d]
+		if c == nil {
+			var err error
+			if c, err = d.scaled(factor); err != nil {
+				return nil, err
+			}
+			children[d] = c
+		}
+		devs[j] = c
+	}
+	fe, err := s.frontend.scaled(factor)
+	if err != nil {
+		return nil, err
+	}
+	return newSystemModel(fe, devs, s.opts, s.pool, s.nodeCount)
 }
 
 // beginSpan opens an observer span for one top-level evaluation of this
@@ -188,7 +212,8 @@ func (s *SystemModel) Devices() []*DeviceModel { return s.devices }
 
 // DeviceResponseCDF evaluates device j's frontend-observed response CDF.
 func (s *SystemModel) DeviceResponseCDF(j int, t float64) float64 {
-	return lst.CDF(s.opts.inverter(), s.responses[j], t)
+	d := s.devices[j]
+	return lst.CDF(s.opts.inverter(), lst.Convolve(s.frontend.Sojourn(), d.WTA(), d.Backend()), t)
 }
 
 // CDF evaluates the system response-latency CDF at t: the rate-weighted
@@ -242,32 +267,48 @@ func (s *SystemModel) BackendCDFContext(ctx context.Context, t float64) (float64
 }
 
 // groupEvaluator builds the raw (unclamped) per-group CDF evaluator at t
-// for one inverter, composing the per-device factors selected by mode.
-func (s *SystemModel) groupEvaluator(inv numeric.Inverter, t float64, mode evalMode) func(i int) float64 {
+// for one inverter, composing the per-device factors selected by mode. a is
+// the pooled scratch of the model's own (primary) inverter, whose nodes for
+// t are those of the devices' leaf tables; a fallback inverter passes nil,
+// allocating its scratch and evaluating its leaves per node.
+func (s *SystemModel) groupEvaluator(inv numeric.Inverter, t float64, mode evalMode, a *batchArena) func(i int) float64 {
 	if ni, ok := inv.(numeric.NodeInverter); ok {
+		primary := a != nil
+		if !primary {
+			a = new(batchArena)
+		}
 		// 32 covers every built-in quadrature (Euler 27, Talbot 32,
 		// Gaver-Stehfest 14) without append regrowth.
-		nodes, ws := ni.AppendNodes(make([]complex128, 0, 32), make([]complex128, 0, 32), t)
+		if cap(a.nodes) < 32 {
+			a.nodes, a.ws = make([]complex128, 0, 32), make([]complex128, 0, 32)
+		}
+		nodes, ws := ni.AppendNodes(a.nodes[:0], a.ws[:0], t)
+		a.nodes, a.ws = nodes, ws
 		shape, write := mode.shape(), mode.write()
 		var fe []complex128
 		if shape == modeFull || shape == modeNoWTA {
 			// The frontend sojourn factor is identical across the
 			// mixture: evaluate it once per inversion node.
-			sq := s.frontend.Sojourn().F
-			fe = make([]complex128, len(nodes))
-			for k, sk := range nodes {
-				fe[k] = sq(sk)
-			}
+			fe = s.frontend.sojournAt(a.fe[:0], t, nodes, primary)
+			a.fe = fe
 		}
 		return func(i int) float64 {
 			dev := s.groups[i].dev
+			var row []leafRec
+			if primary {
+				row = dev.lv.table.row(t, nodes, dev.lv.leaves)
+			}
 			var sum float64
 			for k, sk := range nodes {
-				var wa, resp complex128
-				if write {
-					wa, resp = dev.writeNode(sk)
+				var l leafRec
+				if row != nil {
+					l = row[k]
 				} else {
-					wa, resp = dev.responseNode(sk)
+					l = dev.lv.leaves(sk)
+				}
+				wa, resp, swr := dev.node(sk, &l, write)
+				if write {
+					resp = swr
 				}
 				sum += real(ws[k] * (nodeValue(shape, fe, k, wa, resp) / sk))
 			}
@@ -299,24 +340,26 @@ func nodeValue(mode evalMode, fe []complex128, k int, wa, sbe complex128) comple
 	}
 }
 
-// groupTransform picks group i's composed transform for mode — the opaque
+// groupTransform composes group i's transform for mode — the opaque
 // (non-node) inverter path.
 func (s *SystemModel) groupTransform(i int, mode evalMode) lst.Transform {
+	d := s.groups[i].dev
+	sq := s.frontend.Sojourn()
 	switch mode {
 	case modeFull:
-		return s.groups[i].response
+		return lst.Convolve(sq, d.WTA(), d.Backend())
 	case modeNoWTA:
-		return s.groups[i].noWTA
+		return lst.Convolve(sq, d.Backend())
 	case modeResponse:
-		return s.groups[i].beResp
+		return lst.Convolve(d.WTA(), d.Backend())
 	case modeWriteFull:
-		return s.groups[i].writeFull
+		return lst.Convolve(sq, d.WTA(), d.WriteResponse())
 	case modeWriteResponse:
-		return s.groups[i].writeResp
+		return lst.Convolve(d.WTA(), d.WriteResponse())
 	case modeWriteBackend:
-		return s.groups[i].dev.WriteResponse()
+		return d.WriteResponse()
 	default:
-		return s.groups[i].dev.Backend()
+		return d.Backend()
 	}
 }
 
@@ -343,7 +386,7 @@ func (s *SystemModel) groupCDFFrom(v float64, i int, t float64, mode evalMode) (
 			continue
 		}
 		tried = append(tried, fb.Name())
-		fv := s.groupEvaluator(fb, t, mode)(i)
+		fv := s.groupEvaluator(fb, t, mode, nil)(i)
 		if numeric.CheckCDF(fv) == "" {
 			if cb := s.opts.OnFallback; cb != nil {
 				cb(primary, fb.Name())
@@ -373,8 +416,11 @@ func (s *SystemModel) mixtureCDF(ctx context.Context, t float64, mode evalMode) 
 		}
 		denom = s.totalWriteRate
 	}
-	eval := s.groupEvaluator(s.opts.inverter(), t, mode)
-	res := make([]float64, len(s.groups))
+	a := batchArenaPool.Get().(*batchArena)
+	defer batchArenaPool.Put(a)
+	eval := s.groupEvaluator(s.opts.inverter(), t, mode, a)
+	res := floats(a.sums, len(s.groups))
+	a.sums = res
 	run := func(i int) error {
 		weight := s.groups[i].weight
 		if write {
@@ -505,9 +551,10 @@ func (s *SystemModel) quantileRootErr(err error, p float64, reason string) error
 
 // MeanResponse returns the rate-weighted mean response latency.
 func (s *SystemModel) MeanResponse() float64 {
+	sq := s.frontend.Sojourn()
 	total := 0.0
-	for j, tr := range s.responses {
-		total += s.weights[j] * tr.Mean
+	for _, d := range s.devices {
+		total += d.Rate() * lst.Convolve(sq, d.WTA(), d.Backend()).Mean
 	}
 	return total / s.totalRate
 }
@@ -520,9 +567,9 @@ func (s *SystemModel) MeanWriteResponse() float64 {
 		return 0
 	}
 	total := 0.0
-	for _, g := range s.groups {
+	for i, g := range s.groups {
 		if g.writeWeight > 0 {
-			total += g.writeWeight * g.writeFull.Mean
+			total += g.writeWeight * s.groupTransform(i, modeWriteFull).Mean
 		}
 	}
 	return total / s.totalWriteRate

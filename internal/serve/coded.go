@@ -2,13 +2,11 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
 
 	"cosmodel/internal/core"
-	"cosmodel/internal/numeric"
 )
 
 // CodedReadSpec is the wire form of a coded-read configuration: the
@@ -86,37 +84,6 @@ func (e *Engine) PredictCodedContext(ctx context.Context, spec CodedReadSpec, sl
 	return out, nil
 }
 
-// evaluateCoded answers one coded (operating point, SLA) query through the
-// cache, scaling every device's load by factor (admission bisection).
-func (e *Engine) evaluateCoded(ctx context.Context, ms []core.OnlineMetrics, key string, spec CodedReadSpec, sla, factor float64) (cachedValue, bool, error) {
-	ck := key + spec.cacheKey()
-	if factor != 1 {
-		ck += "|f=" + quantStr(factor)
-	}
-	ck += "|sla=" + quantStr(sla)
-	v, cached, err := e.cache.do(ctx, ck, func(ctx context.Context) (cachedValue, error) {
-		sys, err := e.buildCodedModel(ms, spec, factor)
-		if errors.Is(err, core.ErrOverload) {
-			return cachedValue{p: 0, saturated: true}, nil
-		}
-		if err != nil {
-			return cachedValue{}, err
-		}
-		p, err := sys.CodedCDFContext(ctx, spec.spec(), sla)
-		if err != nil {
-			return cachedValue{}, err
-		}
-		return cachedValue{p: p}, nil
-	})
-	if err == nil {
-		e.predictions.Inc()
-		if v.saturated {
-			e.saturations.Inc()
-		}
-	}
-	return v, cached, err
-}
-
 // buildCodedModel assembles the system model for a coded query. The
 // per-device inputs are the reported sub-read metrics unchanged; only the
 // frontend arrival rate differs from buildModel: the proxy parses each
@@ -125,6 +92,7 @@ func (e *Engine) evaluateCoded(ctx context.Context, ms []core.OnlineMetrics, key
 // sub-millisecond frontend term makes this approximation harmless even
 // when hedging issues fewer than n).
 func (e *Engine) buildCodedModel(ms []core.OnlineMetrics, spec CodedReadSpec, factor float64) (*core.SystemModel, error) {
+	e.builds.Inc()
 	props := e.Props()
 	devs := make([]*core.DeviceModel, 0, len(ms))
 	built := make(map[core.OnlineMetrics]*core.DeviceModel, len(ms))
@@ -158,7 +126,7 @@ func (e *Engine) AdviseCoded(spec CodedReadSpec, sla, target float64) (Advice, e
 }
 
 // AdviseCodedContext answers the admission question for coded reads: the
-// same bisection over a proportional scaling of the current per-device
+// same search over a proportional scaling of the current per-device
 // operating point as AdviseContext, with every probe evaluated through the
 // order-statistic model. Rates are sub-read rates — the same unit the
 // devices report.
@@ -166,50 +134,24 @@ func (e *Engine) AdviseCodedContext(ctx context.Context, spec CodedReadSpec, sla
 	if err := spec.validate(); err != nil {
 		return Advice{}, err
 	}
-	if !(sla > 0) || math.IsInf(sla, 0) {
-		return Advice{}, fmt.Errorf("%w: SLA %v must be positive and finite", ErrBadQuery, sla)
-	}
-	if !(target > 0) || target > 1 {
-		return Advice{}, fmt.Errorf("%w: target %v outside (0,1]", ErrBadQuery, target)
+	if err := checkAdviseQuery(sla, target); err != nil {
+		return Advice{}, err
 	}
 	ms, key, err := e.state.snapshotKeyed()
 	if err != nil {
 		return Advice{}, err
 	}
-	ctx, cancel := e.cfg.Opts.EvalContext(ctx)
-	defer cancel()
-	current := 0.0
-	for _, m := range ms {
-		current += m.Rate
-	}
-	sp := spec
-	adv := Advice{SLA: sla, Target: target, CurrentRate: current, CodedRead: &sp}
-	cur, _, err := e.evaluateCoded(ctx, ms, key, spec, sla, 1)
+	a := &admission{e: e, ms: ms, key: key + spec.cacheKey(),
+		build: func(ms []core.OnlineMetrics, factor float64) (*core.SystemModel, error) {
+			return e.buildCodedModel(ms, spec, factor)
+		},
+		cdf: func(ctx context.Context, sys *core.SystemModel, sla float64) (float64, error) {
+			return sys.CodedCDFContext(ctx, spec.spec(), sla)
+		}}
+	adv, err := a.advise(ctx, sla, target)
 	if err != nil {
 		return Advice{}, err
 	}
-	adv.CurrentMeetRatio = cur.p
-	adv.Saturated = cur.saturated
-	margin := func(ctx context.Context, rate float64) (float64, bool, error) {
-		v, _, err := e.evaluateCoded(ctx, ms, key, spec, sla, rate/current)
-		switch {
-		case err == nil:
-			if v.saturated {
-				return 0, false, nil
-			}
-			return v.p - target, true, nil
-		case isContextErr(err) || errors.Is(err, numeric.ErrNumerical):
-			return 0, false, err
-		default:
-			return 0, false, nil
-		}
-	}
-	maxRate, err := core.MaxRateWhereValueContext(ctx, margin, current/64, current/200)
-	if err != nil {
-		return Advice{}, err
-	}
-	adv.MaxAdmissibleRate = maxRate
-	adv.Headroom = adv.MaxAdmissibleRate - current
-	adv.Admit = !adv.Saturated && cur.p >= target && adv.Headroom >= 0
+	adv.CodedRead = &spec
 	return adv, nil
 }

@@ -50,6 +50,8 @@ type Engine struct {
 
 	predictions *obs.Counter // SLA evaluations answered
 	saturations *obs.Counter // evaluations that hit an overloaded point
+	builds      *obs.Counter // system models built from a snapshot
+	scaled      *obs.Counter // admission-probe models scaled from a built one
 	fallbacks   *obs.Counter // inversions recovered by a fallback inverter
 	recals      *obs.Counter // property swaps applied via Recalibrate
 	// lastFallbackNS is the cfg.now() timestamp (UnixNano) of the most
@@ -79,6 +81,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		"SLA evaluations answered (cached and computed).", nil)
 	e.saturations = e.reg.Counter("cosserve_saturations_total",
 		"Evaluations that hit an overloaded operating point.", nil)
+	const buildsName = "cosserve_model_builds_total"
+	const buildsHelp = "System-model builds on a cache miss, by kind: full builds from a snapshot, or admission probes scaled from the current point's model."
+	e.builds = e.reg.Counter(buildsName, buildsHelp, obs.Labels{"kind": "full"})
+	e.scaled = e.reg.Counter(buildsName, buildsHelp, obs.Labels{"kind": "scaled"})
 	e.fallbacks = e.reg.Counter("cosserve_inverter_fallbacks_total",
 		"Inversions recovered by a fallback inverter.", nil)
 	e.recals = e.reg.Counter("cosserve_recalibrations_total",
@@ -507,37 +513,6 @@ func (e *Engine) evaluateBatch(ctx context.Context, ms []core.OnlineMetrics, ck 
 	return v, cached, err
 }
 
-// evaluate answers one (operating point, SLA) query through the cache,
-// scaling every device's load by factor (used by admission bisection).
-func (e *Engine) evaluate(ctx context.Context, ms []core.OnlineMetrics, key string, sla, factor float64) (cachedValue, bool, error) {
-	ck := key
-	if factor != 1 {
-		ck += "|f=" + quantStr(factor)
-	}
-	ck += "|sla=" + quantStr(sla)
-	v, cached, err := e.cache.do(ctx, ck, func(ctx context.Context) (cachedValue, error) {
-		sys, err := e.buildModel(ms, factor)
-		if errors.Is(err, core.ErrOverload) {
-			return cachedValue{p: 0, saturated: true}, nil
-		}
-		if err != nil {
-			return cachedValue{}, err
-		}
-		p, err := sys.CDFContext(ctx, sla)
-		if err != nil {
-			return cachedValue{}, err
-		}
-		return cachedValue{p: p}, nil
-	})
-	if err == nil {
-		e.predictions.Inc()
-		if v.saturated {
-			e.saturations.Inc()
-		}
-	}
-	return v, cached, err
-}
-
 // buildModel assembles the system model for the snapshot with every
 // device's rates scaled by factor. The cold path (a cache miss) inherits
 // cfg.Opts wholesale, so the model's device-parallel evaluation engine and
@@ -558,6 +533,7 @@ func (e *Engine) buildModel(ms []core.OnlineMetrics, factor float64) (*core.Syst
 // every shard evaluating its local device slice under the same global
 // frontend produces partial CDFs that merge exactly into the full mixture.
 func (e *Engine) buildModelFE(ms []core.OnlineMetrics, factor, feRate float64) (*core.SystemModel, error) {
+	e.builds.Inc()
 	props := e.Props()
 	devs := make([]*core.DeviceModel, 0, len(ms))
 	built := make(map[core.OnlineMetrics]*core.DeviceModel, len(ms))
@@ -619,46 +595,137 @@ type Advice struct {
 }
 
 // Advise answers the admission-control question "what fraction meets the
-// SLA now, and how much more load fits before target breaks?" by bisecting
+// SLA now, and how much more load fits before target breaks?" by searching
 // a proportional scaling of the current per-device operating point. Every
 // probe goes through the memo cache, so repeated advice at a stable
 // operating point is nearly free; cold probes evaluate through the pooled
-// model engine (see buildModel).
+// model engine on models scaled from one build (see admission).
 func (e *Engine) Advise(sla, target float64) (Advice, error) {
 	return e.AdviseContext(context.Background(), sla, target)
 }
 
 // AdviseContext is the context-aware Advise: ctx and the configured
 // Opts.EvalTimeout bound the entire admission search, observed before every
-// bisection probe and inside each probe's transform inversion. A probe that
-// fails numerically or is cancelled aborts the search with the error; a
-// probe at an overloaded point merely bounds it.
+// probe and inside each probe's transform inversion. A probe that fails
+// numerically or is cancelled aborts the search with the error; a probe at
+// an overloaded point merely bounds it.
 func (e *Engine) AdviseContext(ctx context.Context, sla, target float64) (Advice, error) {
-	if !(sla > 0) || math.IsInf(sla, 0) {
-		return Advice{}, fmt.Errorf("%w: SLA %v must be positive and finite", ErrBadQuery, sla)
-	}
-	if !(target > 0) || target > 1 {
-		return Advice{}, fmt.Errorf("%w: target %v outside (0,1]", ErrBadQuery, target)
+	if err := checkAdviseQuery(sla, target); err != nil {
+		return Advice{}, err
 	}
 	ms, key, err := e.state.snapshotKeyed()
 	if err != nil {
 		return Advice{}, err
 	}
-	ctx, cancel := e.cfg.Opts.EvalContext(ctx)
+	return e.plainAdmission(ms, key).advise(ctx, sla, target)
+}
+
+// checkAdviseQuery validates an admission query's SLA and target.
+func checkAdviseQuery(sla, target float64) error {
+	if !(sla > 0) || math.IsInf(sla, 0) {
+		return fmt.Errorf("%w: SLA %v must be positive and finite", ErrBadQuery, sla)
+	}
+	if !(target > 0) || target > 1 {
+		return fmt.Errorf("%w: target %v outside (0,1]", ErrBadQuery, target)
+	}
+	return nil
+}
+
+// admission evaluates the probes of one admission search over a snapshot.
+// A probe at load factor f is memoized under key|f=quant(f)|sla=quant(sla)
+// and evaluated at exactly the quantized factor its key names, so a cached
+// margin never stands in for another rate and a search's answer does not
+// depend on which probes earlier searches left in the cache. A missed probe
+// evaluates on base.Scaled(f): the base — the current operating point's
+// model — is built on the first miss, so a fully cached search builds
+// nothing, and the probe models share its leaf transforms and leaf-value
+// table for this one search. When the current point has no model (it is
+// overloaded) every probe is built from the snapshot instead.
+type admission struct {
+	e     *Engine
+	ms    []core.OnlineMetrics
+	key   string // memo-key prefix: operating point plus query shape
+	build func(ms []core.OnlineMetrics, factor float64) (*core.SystemModel, error)
+	cdf   func(ctx context.Context, sys *core.SystemModel, sla float64) (float64, error)
+
+	base    *core.SystemModel
+	baseErr error
+	built   bool
+}
+
+// plainAdmission is the admission search over plain reads.
+func (e *Engine) plainAdmission(ms []core.OnlineMetrics, key string) *admission {
+	return &admission{e: e, ms: ms, key: key, build: e.buildModel,
+		cdf: func(ctx context.Context, sys *core.SystemModel, sla float64) (float64, error) {
+			return sys.CDFContext(ctx, sla)
+		}}
+}
+
+// model returns the probe model at factor.
+func (a *admission) model(factor float64) (*core.SystemModel, error) {
+	if !a.built {
+		a.base, a.baseErr = a.build(a.ms, 1)
+		a.built = true
+	}
+	switch {
+	case a.baseErr != nil:
+		return a.build(a.ms, factor)
+	case factor == 1:
+		return a.base, nil
+	}
+	a.e.scaled.Inc()
+	return a.base.Scaled(factor)
+}
+
+// probe answers the SLA-meeting fraction at sla with every device's load
+// scaled by factor, through the cache.
+func (a *admission) probe(ctx context.Context, sla, factor float64) (cachedValue, bool, error) {
+	ck := a.key
+	if factor != 1 {
+		factor = quantize(factor)
+		ck += "|f=" + strconv.FormatFloat(factor, 'g', -1, 64)
+	}
+	ck += "|sla=" + quantStr(sla)
+	v, cached, err := a.e.cache.do(ctx, ck, func(ctx context.Context) (cachedValue, error) {
+		sys, err := a.model(factor)
+		if errors.Is(err, core.ErrOverload) {
+			return cachedValue{p: 0, saturated: true}, nil
+		}
+		if err != nil {
+			return cachedValue{}, err
+		}
+		p, err := a.cdf(ctx, sys, sla)
+		if err != nil {
+			return cachedValue{}, err
+		}
+		return cachedValue{p: p}, nil
+	})
+	if err == nil {
+		a.e.predictions.Inc()
+		if v.saturated {
+			a.e.saturations.Inc()
+		}
+	}
+	return v, cached, err
+}
+
+// advise runs the admission search.
+func (a *admission) advise(ctx context.Context, sla, target float64) (Advice, error) {
+	ctx, cancel := a.e.cfg.Opts.EvalContext(ctx)
 	defer cancel()
 	current := 0.0
-	for _, m := range ms {
+	for _, m := range a.ms {
 		current += m.Rate
 	}
 	adv := Advice{SLA: sla, Target: target, CurrentRate: current}
-	cur, _, err := e.evaluate(ctx, ms, key, sla, 1)
+	cur, _, err := a.probe(ctx, sla, 1)
 	if err != nil {
 		return Advice{}, err
 	}
 	adv.CurrentMeetRatio = cur.p
 	adv.Saturated = cur.saturated
 	margin := func(ctx context.Context, rate float64) (float64, bool, error) {
-		v, _, err := e.evaluate(ctx, ms, key, sla, rate/current)
+		v, _, err := a.probe(ctx, sla, rate/current)
 		switch {
 		case err == nil:
 			if v.saturated {

@@ -107,7 +107,10 @@ func (e *Engine) PartialPredictContext(ctx context.Context, req PartialRequest) 
 		for _, m := range ms {
 			local += m.Rate * factor
 		}
-		sys, err := e.buildModelFE(ms, factor, feRate)
+		// Build at the quantized factor the key names (the partial's
+		// weight stays at the exact factor so the router's rate
+		// accounting adds up); the frontend rate is taken as sent.
+		sys, err := e.buildModelFE(ms, quantize(factor), feRate)
 		if errors.Is(err, core.ErrOverload) {
 			return cachedValue{p: local, saturated: true, ps: make([]float64, len(slas))}, nil
 		}
