@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 
 	"cosmodel/internal/coscode"
-	"cosmodel/internal/lst"
 	"cosmodel/internal/numeric"
 )
 
@@ -21,58 +21,72 @@ const codedFrontendGridPoints = 48
 
 // frontendGrid tabulates the frontend sojourn CDF on a fixed grid and
 // converts it to point masses (interval increments, residual tail mass on
-// the last point — the same discretization gridTransform uses). Built once
-// per model; concurrency-safe.
+// the last point — the same discretization gridTransform uses). Only the
+// points that can carry mass are inverted: below the parse floor (every
+// parse time exceeds the point) the CDF is exactly 0, and once the clamped
+// CDF reaches 1 every later increment is exactly 0. Each remaining point is
+// inverted through the guarded fallback chain; a recovered value fires
+// Options.OnFallback and exhaustion returns a *numeric.InversionError.
+// Built once per model; concurrency-safe.
 func (s *SystemModel) frontendGrid() ([]float64, []float64, error) {
 	s.feGridOnce.Do(func() {
-		sq := s.frontend.Sojourn()
-		mean := sq.Mean
-		if !(mean > 0) {
-			mean = 1e-4
-		}
-		span := 12 * mean
-		inv := s.opts.inverter()
-		pts := make([]float64, codedFrontendGridPoints)
-		masses := make([]float64, codedFrontendGridPoints)
-		for i := range pts {
-			pts[i] = span * float64(i+1) / codedFrontendGridPoints
-		}
-		vs := lst.CDFBatch(inv, sq, pts)
-		prev := 0.0
-		for i, v := range vs {
-			if reason := numeric.CheckCDF(v); reason != "" {
-				s.feGridErr = &numeric.InversionError{
-					T: pts[i], Value: v,
-					Reason: "frontend sojourn grid: " + reason,
-					Tried:  []string{inv.Name()},
-				}
-				return
-			}
-			v = numeric.Clamp01(v)
-			if v < prev {
-				v = prev
-			}
-			masses[i] = v - prev
-			prev = v
-		}
-		masses[len(masses)-1] += 1 - prev
-		s.fePoints, s.feMasses = pts, masses
+		s.fePoints, s.feMasses, s.feGridErr = s.buildFrontendGrid()
 	})
 	return s.fePoints, s.feMasses, s.feGridErr
 }
 
-// codedCDF evaluates the frontend-observed coded-read CDF at t without
-// span bookkeeping: the k-of-n order statistic of the per-read response
-// (Wa ∗ Sbe, rate-weighted over the device mixture) convolved with the
-// frontend sojourn Sq. N=1 short-circuits to the plain response CDF, which
-// is exact (no grid). probes counts base-CDF inversions for the observer.
-func (s *SystemModel) codedCDF(ctx context.Context, spec CodedSpec, t float64, probes *int) (float64, error) {
+func (s *SystemModel) buildFrontendGrid() ([]float64, []float64, error) {
+	sq := s.frontend.Sojourn()
+	mean := sq.Mean
+	if !(mean > 0) {
+		mean = 1e-4
+	}
+	span := 12 * mean
+	inv := s.opts.inverter()
+	pts := make([]float64, codedFrontendGridPoints)
+	masses := make([]float64, codedFrontendGridPoints)
+	prev := 0.0
+	for i := range pts {
+		x := span * float64(i+1) / codedFrontendGridPoints
+		pts[i] = x
+		if prev == 1 || s.frontend.belowParse(x) {
+			continue
+		}
+		v, by, err := numeric.InvertCDFGuarded(inv, s.opts.fallbacks(), sq.F, x)
+		if err != nil {
+			var ie *numeric.InversionError
+			if errors.As(err, &ie) {
+				ie.Reason = "frontend sojourn grid: " + ie.Reason
+			}
+			return nil, nil, err
+		}
+		if cb := s.opts.OnFallback; cb != nil && by != inv.Name() {
+			cb(inv.Name(), by)
+		}
+		if v < prev {
+			v = prev
+		}
+		masses[i] = v - prev
+		prev = v
+	}
+	masses[len(masses)-1] += 1 - prev
+	return pts, masses, nil
+}
+
+// orderCDF evaluates the frontend-observed order-statistic CDF at t without
+// span bookkeeping: the spec's order statistic of the per-request response
+// (mode response, rate-weighted over the device mixture) convolved with the
+// frontend sojourn Sq. N=1 short-circuits to the plain response CDF (mode
+// full), which is exact (no grid). Coded reads and replicated writes differ
+// only in the mode pair. probes counts base-CDF inversions for the
+// observer.
+func (s *SystemModel) orderCDF(ctx context.Context, spec coscode.Spec, full, response evalMode, t float64, probes *int) (float64, error) {
 	if t <= 0 {
 		return 0, nil
 	}
 	if spec.N == 1 {
 		*probes++
-		return s.mixtureCDF(ctx, t, modeFull)
+		return s.mixtureCDF(ctx, t, full)
 	}
 	pts, masses, err := s.frontendGrid()
 	if err != nil {
@@ -80,7 +94,7 @@ func (s *SystemModel) codedCDF(ctx context.Context, spec CodedSpec, t float64, p
 	}
 	base := func(x float64) (float64, error) {
 		*probes++
-		return s.mixtureCDF(ctx, x, modeResponse)
+		return s.mixtureCDF(ctx, x, response)
 	}
 	total := 0.0
 	for i, x := range pts {
@@ -120,21 +134,21 @@ func (s *SystemModel) CodedCDFContext(ctx context.Context, spec CodedSpec, t flo
 	probes := 0
 	done := s.beginSpan("coded_cdf")
 	defer func() { done(probes, err) }()
-	return s.codedCDF(ctx, spec, t, &probes)
+	return s.orderCDF(ctx, spec, modeFull, modeResponse, t, &probes)
 }
 
-// codedCDFBatch evaluates the coded-read CDF at every threshold in ts
-// through one batched traversal of the device mixture. coscode.CDF's base
-// probe sequence depends only on the spec and its threshold argument,
-// never on probed values, so a recording pass enumerates every backend
-// threshold the scalar loop would probe, one mixtureCDFBatch answers them
-// all, and a replay pass reassembles each order-statistic evaluation from
-// the recorded answers — bit-identical to per-threshold codedCDF.
-func (s *SystemModel) codedCDFBatch(ctx context.Context, spec CodedSpec, ts []float64, probes *int) ([]float64, error) {
+// orderCDFBatch evaluates orderCDF at every threshold in ts through one
+// batched traversal of the device mixture. coscode.CDF's base probe
+// sequence depends only on the spec and its threshold argument, never on
+// probed values, so a recording pass enumerates every backend threshold
+// the scalar loop would probe, one mixtureCDFBatch answers them all, and a
+// replay pass reassembles each order-statistic evaluation from the
+// recorded answers — bit-identical to per-threshold orderCDF.
+func (s *SystemModel) orderCDFBatch(ctx context.Context, spec coscode.Spec, full, response evalMode, ts []float64, probes *int) ([]float64, error) {
 	out := make([]float64, len(ts))
 	if spec.N == 1 {
 		*probes += len(ts)
-		if err := s.mixtureCDFBatch(ctx, []evalMode{modeFull}, ts, [][]float64{out}); err != nil {
+		if err := s.mixtureCDFBatch(ctx, []evalMode{full}, ts, [][]float64{out}); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -163,7 +177,7 @@ func (s *SystemModel) codedCDFBatch(ctx context.Context, spec CodedSpec, ts []fl
 	}
 	*probes += len(xs)
 	vals := make([]float64, len(xs))
-	if err := s.mixtureCDFBatch(ctx, []evalMode{modeResponse}, xs, [][]float64{vals}); err != nil {
+	if err := s.mixtureCDFBatch(ctx, []evalMode{response}, xs, [][]float64{vals}); err != nil {
 		return nil, err
 	}
 	idx := 0
@@ -207,7 +221,7 @@ func (s *SystemModel) CodedCDFBatchContext(ctx context.Context, spec CodedSpec, 
 	probes := 0
 	done := s.beginSpan("coded_cdf_batch")
 	defer func() { done(probes, err) }()
-	return s.codedCDFBatch(ctx, spec, ts, &probes)
+	return s.orderCDFBatch(ctx, spec, modeFull, modeResponse, ts, &probes)
 }
 
 // CodedBackendCDF is the backend-tier form of CodedCDF; a numerical or
@@ -263,12 +277,6 @@ func (s *SystemModel) CodedQuantileContext(ctx context.Context, spec CodedSpec, 
 	probes := 0
 	done := s.beginSpan("coded_quantile")
 	defer func() { done(probes, err) }()
-	if p <= 0 {
-		return 0, nil
-	}
-	if p >= 1 {
-		return math.Inf(1), nil
-	}
 	// The per-read mean bounds the k=1 case; a fork-join barrier can sit
 	// well above it, which the doubling loop absorbs.
 	hi := s.MeanResponse()
@@ -278,7 +286,23 @@ func (s *SystemModel) CodedQuantileContext(ctx context.Context, spec CodedSpec, 
 	if spec.Hedge && !math.IsInf(spec.HedgeDelay, 1) {
 		hi += spec.HedgeDelay
 	}
-	vHi, err := s.codedCDF(ctx, spec, hi, &probes)
+	return s.orderQuantile(ctx, spec, modeFull, modeResponse, p, hi, &probes, "coded")
+}
+
+// orderQuantile inverts orderCDF at p with the guarded bracketed root
+// finder, doubling the bracket from hi (1 ms when hi <= 0) until it holds
+// p. what names the CDF in the non-monotone error.
+func (s *SystemModel) orderQuantile(ctx context.Context, spec coscode.Spec, full, response evalMode, p, hi float64, probes *int, what string) (float64, error) {
+	if p <= 0 {
+		return 0, nil
+	}
+	if p >= 1 {
+		return math.Inf(1), nil
+	}
+	if hi <= 0 {
+		hi = 1e-3
+	}
+	vHi, err := s.orderCDF(ctx, spec, full, response, hi, probes)
 	if err != nil {
 		return 0, err
 	}
@@ -287,17 +311,17 @@ func (s *SystemModel) CodedQuantileContext(ctx context.Context, spec CodedSpec, 
 		if hi > 1e6 {
 			return math.Inf(1), nil
 		}
-		if vHi, err = s.codedCDF(ctx, spec, hi, &probes); err != nil {
+		if vHi, err = s.orderCDF(ctx, spec, full, response, hi, probes); err != nil {
 			return 0, err
 		}
 	}
 	f := func(t float64) (float64, error) {
-		v, err := s.codedCDF(ctx, spec, t, &probes)
+		v, err := s.orderCDF(ctx, spec, full, response, t, probes)
 		if err != nil {
 			return 0, err
 		}
 		return v - p, nil
 	}
-	q, err = numeric.BrentGuarded(f, 0, -p, hi, vHi-p, 0, numeric.CDFSlack)
-	return q, s.quantileRootErr(err, p, "grossly non-monotone coded CDF in quantile bisection")
+	q, err := numeric.BrentGuarded(f, 0, -p, hi, vHi-p, 0, numeric.CDFSlack)
+	return q, s.quantileRootErr(err, p, "grossly non-monotone "+what+" CDF in quantile bisection")
 }

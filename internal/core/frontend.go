@@ -151,19 +151,44 @@ func (f *FrontendModel) sojournAt(dst []complex128, t float64, nodes []complex12
 		} else {
 			bs = b(s)
 		}
-		dst = append(dst, f.q.WaitingValue(s, bs)*bs)
+		dst = append(dst, f.sojournValue(s, bs))
 	}
 	return dst
 }
 
+// sojournValue composes a homogeneous tier's M/G/1 sojourn W(s)·B(s) at s
+// from one parse value bs = B(s).
+func (f *FrontendModel) sojournValue(s, bs complex128) complex128 {
+	return f.q.WaitingValue(s, bs) * bs
+}
+
 // Sojourn returns Sq: the frontend queueing-plus-parsing latency transform.
+// A homogeneous tier's is composed from one parse evaluation per node.
 func (f *FrontendModel) Sojourn() lst.Transform {
 	f.sqOnce.Do(func() {
 		if f.sets == nil {
-			f.sq = f.q.SojournLST()
+			b := f.q.Service.F
+			f.sq = lst.Transform{
+				F:    func(s complex128) complex128 { return f.sojournValue(s, b(s)) },
+				Mean: f.q.SojournLST().Mean,
+			}
 		}
 	})
 	return f.sq
+}
+
+// belowParse reports whether x lies below every parse time of the tier,
+// where Sq's CDF is exactly 0: a request's sojourn includes its own parse.
+func (f *FrontendModel) belowParse(x float64) bool {
+	if f.sets == nil {
+		return f.Parse.CDF(x) == 0
+	}
+	for _, set := range f.sets {
+		if set.Parse.CDF(x) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Utilization returns the per-process utilization (the maximum over sets

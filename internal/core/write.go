@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"cosmodel/internal/coscode"
-	"cosmodel/internal/numeric"
 )
 
 // WriteSpec describes a replicated PUT: the object is written to N replica
@@ -37,42 +36,6 @@ func (sp WriteSpec) Validate() error {
 // K = W. No hedging — every replica is written on arrival.
 func (sp WriteSpec) spec() coscode.Spec { return coscode.Spec{N: sp.N, K: sp.W} }
 
-// writeCDF evaluates the frontend-observed PUT quorum CDF at t without span
-// bookkeeping: the W-of-N order statistic of the per-replica write response
-// (Wa ∗ Swr, write-rate-weighted over the device mixture) convolved with
-// the frontend sojourn Sq. N=1 short-circuits to the plain single-replica
-// write CDF, which is exact (no grid). probes counts base-CDF inversions
-// for the observer.
-func (s *SystemModel) writeCDF(ctx context.Context, spec WriteSpec, t float64, probes *int) (float64, error) {
-	if t <= 0 {
-		return 0, nil
-	}
-	if spec.N == 1 {
-		*probes++
-		return s.mixtureCDF(ctx, t, modeWriteFull)
-	}
-	pts, masses, err := s.frontendGrid()
-	if err != nil {
-		return 0, err
-	}
-	base := func(x float64) (float64, error) {
-		*probes++
-		return s.mixtureCDF(ctx, x, modeWriteResponse)
-	}
-	total := 0.0
-	for i, x := range pts {
-		if masses[i] == 0 || t-x <= 0 {
-			continue
-		}
-		h, err := coscode.CDF(spec.spec(), base, t-x)
-		if err != nil {
-			return 0, err
-		}
-		total += masses[i] * h
-	}
-	return numeric.Clamp01(total), nil
-}
-
 // WriteCDF predicts the fraction of W-of-N replicated PUTs acknowledged
 // within t seconds; see WriteCDFContext. A numerical or spec error reports
 // 0.
@@ -101,76 +64,7 @@ func (s *SystemModel) WriteCDFContext(ctx context.Context, spec WriteSpec, t flo
 	probes := 0
 	done := s.beginSpan("write_cdf")
 	defer func() { done(probes, err) }()
-	return s.writeCDF(ctx, spec, t, &probes)
-}
-
-// writeCDFBatch evaluates the PUT quorum CDF at every threshold in ts
-// through one batched traversal of the device mixture — the same
-// record/replay scheme as the coded read path: coscode.CDF's base probe
-// sequence depends only on the spec and threshold, so a recording pass
-// enumerates every backend threshold, one mixtureCDFBatch answers them all,
-// and a replay pass reassembles each order-statistic evaluation.
-func (s *SystemModel) writeCDFBatch(ctx context.Context, spec WriteSpec, ts []float64, probes *int) ([]float64, error) {
-	out := make([]float64, len(ts))
-	if spec.N == 1 {
-		*probes += len(ts)
-		if err := s.mixtureCDFBatch(ctx, []evalMode{modeWriteFull}, ts, [][]float64{out}); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	pts, masses, err := s.frontendGrid()
-	if err != nil {
-		return nil, err
-	}
-	csp := spec.spec()
-	var xs []float64
-	record := func(x float64) (float64, error) {
-		xs = append(xs, x)
-		return 0, nil
-	}
-	for _, t := range ts {
-		if t <= 0 {
-			continue
-		}
-		for i, x := range pts {
-			if masses[i] == 0 || t-x <= 0 {
-				continue
-			}
-			if _, err := coscode.CDF(csp, record, t-x); err != nil {
-				return nil, err
-			}
-		}
-	}
-	*probes += len(xs)
-	vals := make([]float64, len(xs))
-	if err := s.mixtureCDFBatch(ctx, []evalMode{modeWriteResponse}, xs, [][]float64{vals}); err != nil {
-		return nil, err
-	}
-	idx := 0
-	replay := func(float64) (float64, error) {
-		v := vals[idx]
-		idx++
-		return v, nil
-	}
-	for j, t := range ts {
-		if t <= 0 {
-			continue
-		}
-		total := 0.0
-		for i, x := range pts {
-			if masses[i] == 0 || t-x <= 0 {
-				continue
-			}
-			h, err := coscode.CDF(csp, replay, t-x)
-			if err != nil {
-				return nil, err
-			}
-			total += masses[i] * h
-		}
-		out[j] = numeric.Clamp01(total)
-	}
-	return out, nil
+	return s.orderCDF(ctx, spec.spec(), modeWriteFull, modeWriteResponse, t, &probes)
 }
 
 // WriteCDFBatchContext evaluates the PUT quorum CDF at every threshold in
@@ -187,7 +81,7 @@ func (s *SystemModel) WriteCDFBatchContext(ctx context.Context, spec WriteSpec, 
 	probes := 0
 	done := s.beginSpan("write_cdf_batch")
 	defer func() { done(probes, err) }()
-	return s.writeCDFBatch(ctx, spec, ts, &probes)
+	return s.orderCDFBatch(ctx, spec.spec(), modeWriteFull, modeWriteResponse, ts, &probes)
 }
 
 // WriteBackendCDF is the backend-tier form of WriteCDF; a numerical or
@@ -242,38 +136,7 @@ func (s *SystemModel) WriteQuantileContext(ctx context.Context, spec WriteSpec, 
 	probes := 0
 	done := s.beginSpan("write_quantile")
 	defer func() { done(probes, err) }()
-	if p <= 0 {
-		return 0, nil
-	}
-	if p >= 1 {
-		return math.Inf(1), nil
-	}
 	// The per-replica write mean bounds the W=1 case; a full W=N barrier
 	// can sit above it, which the doubling loop absorbs.
-	hi := s.MeanWriteResponse()
-	if hi <= 0 {
-		hi = 1e-3
-	}
-	vHi, err := s.writeCDF(ctx, spec, hi, &probes)
-	if err != nil {
-		return 0, err
-	}
-	for vHi < p {
-		hi *= 2
-		if hi > 1e6 {
-			return math.Inf(1), nil
-		}
-		if vHi, err = s.writeCDF(ctx, spec, hi, &probes); err != nil {
-			return 0, err
-		}
-	}
-	f := func(t float64) (float64, error) {
-		v, err := s.writeCDF(ctx, spec, t, &probes)
-		if err != nil {
-			return 0, err
-		}
-		return v - p, nil
-	}
-	q, err = numeric.BrentGuarded(f, 0, -p, hi, vHi-p, 0, numeric.CDFSlack)
-	return q, s.quantileRootErr(err, p, "grossly non-monotone write CDF in quantile bisection")
+	return s.orderQuantile(ctx, spec.spec(), modeWriteFull, modeWriteResponse, p, s.MeanWriteResponse(), &probes, "write")
 }

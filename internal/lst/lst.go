@@ -188,31 +188,6 @@ func CDFAtNodes(s, w []complex128, f numeric.TransformFunc) float64 {
 	return numeric.Clamp01(sum)
 }
 
-// CDFBatch inverts the CDF behind t at every threshold in ts. When inv
-// exposes its quadrature (numeric.NodeInverter) one node/weight buffer is
-// reused across all thresholds, so evaluating a whole SLA grid pays the
-// slice setup once; each entry equals CDF(inv, t, ts[i]) exactly — the
-// node-path dot product and Inverter.Invert accumulate in the same order.
-func CDFBatch(inv numeric.Inverter, t Transform, ts []float64) []float64 {
-	out := make([]float64, len(ts))
-	ni, ok := inv.(numeric.NodeInverter)
-	if !ok {
-		for i, x := range ts {
-			out[i] = CDF(inv, t, x)
-		}
-		return out
-	}
-	var nodes, ws []complex128
-	for i, x := range ts {
-		if x <= 0 {
-			continue // out[i] stays 0, matching CDF
-		}
-		nodes, ws = ni.AppendNodes(nodes[:0], ws[:0], x)
-		out[i] = CDFAtNodes(nodes, ws, t.F)
-	}
-	return out
-}
-
 // PDF evaluates the density behind t at x using the given inverter. It is
 // meaningful only where the distribution is absolutely continuous.
 func PDF(inv numeric.Inverter, t Transform, x float64) float64 {

@@ -131,3 +131,34 @@ func BenchmarkAdviseCold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPredictMixedCold measures one cold /predict grid per query shape
+// on a mixed read/write operating point: the plain mixture, a W-of-N write
+// quorum and a k-of-n coded read, each missing the cache. The write and
+// coded shapes add the frontend sojourn grid and the order-statistic batch.
+func BenchmarkPredictMixedCold(b *testing.B) {
+	eng, err := NewEngine(testConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ingestMixed(b, eng, 40, 8)
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name    string
+		predict func() ([]Prediction, error)
+	}{
+		{"plain", func() ([]Prediction, error) { return eng.PredictContext(ctx, nil) }},
+		{"write_3_2", func() ([]Prediction, error) { return eng.PredictWriteContext(ctx, WriteSpec{N: 3, W: 2}, nil) }},
+		{"coded_6_4", func() ([]Prediction, error) { return eng.PredictCodedContext(ctx, CodedReadSpec{N: 6, K: 4}, nil) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng.InvalidateCache()
+				if _, err := bc.predict(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -84,40 +84,18 @@ func (e *Engine) PredictCodedContext(ctx context.Context, spec CodedReadSpec, sl
 	return out, nil
 }
 
-// buildCodedModel assembles the system model for a coded query. The
-// per-device inputs are the reported sub-read metrics unchanged; only the
-// frontend arrival rate differs from buildModel: the proxy parses each
-// coded GET once before fanning it into n sub-reads, so its M/G/1 rate is
-// the reported per-device total divided by the stripe width (the
-// sub-millisecond frontend term makes this approximation harmless even
-// when hedging issues fewer than n).
-func (e *Engine) buildCodedModel(ms []core.OnlineMetrics, spec CodedReadSpec, factor float64) (*core.SystemModel, error) {
-	e.builds.Inc()
-	props := e.Props()
-	devs := make([]*core.DeviceModel, 0, len(ms))
-	built := make(map[core.OnlineMetrics]*core.DeviceModel, len(ms))
+// codedFrontendRate is the frontend arrival rate of a coded query at
+// factor: the proxy parses each coded GET once before fanning it into n
+// sub-reads, so its M/G/1 rate is the reported per-device (sub-read) total
+// divided by the stripe width (the sub-millisecond frontend term makes this
+// approximation harmless even when hedging issues fewer than n). The
+// per-device inputs are the reported sub-read metrics unchanged.
+func codedFrontendRate(ms []core.OnlineMetrics, spec CodedReadSpec, factor float64) float64 {
 	total := 0.0
 	for _, m := range ms {
-		m.Rate *= factor
-		m.DataRate *= factor
-		m.WriteRate *= factor
-		dm := built[m]
-		if dm == nil {
-			var err error
-			dm, err = core.NewDeviceModel(props, m, e.cfg.Opts)
-			if err != nil {
-				return nil, err
-			}
-			built[m] = dm
-		}
-		devs = append(devs, dm)
-		total += m.Rate
+		total += m.Rate * factor
 	}
-	fe, err := core.NewFrontendModel(total/float64(spec.N), e.cfg.FrontendProcs, props.ParseFE)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSystemModel(fe, devs, e.cfg.Opts)
+	return total / float64(spec.N)
 }
 
 // AdviseCoded is the coded-read admission query; see AdviseCodedContext.
@@ -143,7 +121,7 @@ func (e *Engine) AdviseCodedContext(ctx context.Context, spec CodedReadSpec, sla
 	}
 	a := &admission{e: e, ms: ms, key: key + spec.cacheKey(),
 		build: func(ms []core.OnlineMetrics, factor float64) (*core.SystemModel, error) {
-			return e.buildCodedModel(ms, spec, factor)
+			return e.buildModelFE(ms, factor, codedFrontendRate(ms, spec, factor))
 		},
 		cdf: func(ctx context.Context, sys *core.SystemModel, sla float64) (float64, error) {
 			return sys.CodedCDFContext(ctx, spec.spec(), sla)

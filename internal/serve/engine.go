@@ -483,7 +483,7 @@ func (e *Engine) evaluateBatch(ctx context.Context, ms []core.OnlineMetrics, ck 
 			err error
 		)
 		if coded != nil {
-			sys, err = e.buildCodedModel(ms, *coded, 1)
+			sys, err = e.buildModelFE(ms, 1, codedFrontendRate(ms, *coded, 1))
 		} else {
 			sys, err = e.buildModel(ms, 1)
 		}
